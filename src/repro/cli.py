@@ -776,7 +776,8 @@ def cmd_verify_kernels(args) -> int:
     for d in ver.defects:
         dyn = ("skipped" if d.dynamic is None
                else ("caught" if d.dynamic.caught else "MISSED"))
-        sta = "caught" if d.static_caught else "MISSED"
+        sta = ("n/a (dynamic only)" if d.defect.static_check is None
+               else ("caught" if d.static_caught else "MISSED"))
         print(f"  defect {d.defect.name}: static {sta}, dynamic {dyn}")
     for msg in strict_failures:
         print(f"  strict: {msg}")

@@ -72,6 +72,13 @@ integer-weight distance matrices (the library's domain) and off by default.
 Setting ``REPRO_JIT=off`` forces the fallback (used by the CI leg that
 exercises the degradation path).
 
+The same ``.so`` carries two native SSSP entry points outside the
+templates (:data:`SSSP_SOURCES`): ``near_far_batch_f64`` and
+``dijkstra_f64``, reached through :func:`native_sssp_kernels` from
+:func:`repro.sssp.near_far.near_far_batch` and
+:func:`repro.sssp.dijkstra.dijkstra`. ``REPRO_JIT=off`` or a failed
+build sends those back to their numpy/Python paths.
+
 A reduced-precision semiring rides the same interface:
 :meth:`JITBackend.update_i32` runs an exact saturating int32 min-plus in C
 (sentinel ``INT32_INF``), and :meth:`KernelBackend.update_f16` (base-class
@@ -93,6 +100,7 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 from repro.core.backends.base import KernelBackend, int32_rank1_update
 from repro.core.backends.tiled import TiledBackend
@@ -103,11 +111,14 @@ __all__ = [
     "KERNEL_TEMPLATES",
     "KernelTemplate",
     "SANITIZER_FLAGS",
+    "SSSP_SOURCES",
     "cc_build_info",
     "cc_compiler",
     "compile_cc_so",
+    "ffi_pointer",
     "kernel_source",
     "load_cc_kernels",
+    "native_sssp_kernels",
     "sanitizer_runtime",
 ]
 
@@ -463,6 +474,198 @@ void mp_update_i32(int32_t *c, const int32_t *a, const int32_t *b,
 }
 """
 
+_NEAR_FAR_SOURCE = r"""
+/* Batched Near-Far MSSP over a (bat, n) row-major distance matrix whose
+ * entries the caller set to +inf. Level-synchronous exactly like the numpy
+ * path in repro.sssp.near_far: each iteration snapshots the Near frontier's
+ * distances, then relaxes every frontier edge with a sequential min into
+ * dist (Jacobi); the improved entries sort into Near or Far against the
+ * current split. Worklists hold flat indices r*n + v, deduplicated by the
+ * per-entry flag bits. Caller-owned scratch: flag (bat*n bytes, zeroed),
+ * near/next/far (bat*n each), snap (bat*n). stats receives relaxations,
+ * heavy relaxations, iterations, child launches, splits advanced. */
+#define NF_FAR 1
+#define NF_TOUCHED 2
+
+void near_far_batch_f64(const i64 *indptr, const i64 *indices,
+                        const double *weights, const i64 *sources,
+                        double *dist, i64 n, i64 bat, double delta,
+                        i64 heavy_degree, unsigned char *flag,
+                        i64 *near, i64 *next, i64 *far, double *snap,
+                        i64 *stats)
+{
+    i64 n_near = 0, n_far = 0;
+    i64 relax = 0, heavy_relax = 0, iters = 0, child = 0, splits = 0;
+    double split = delta;
+    for (i64 r = 0; r < bat; r++) {
+        i64 t = r * n + sources[r];
+        dist[t] = 0.0;
+        near[n_near++] = t;
+    }
+    for (;;) {
+        if (n_near == 0) {
+            /* Near exhausted: drop stale Far entries (improved below the
+             * split since insertion), advance the split past the smallest
+             * remaining distance and move the new Near range over. */
+            i64 kept = 0;
+            double min_far = INFINITY;
+            for (i64 i = 0; i < n_far; i++) {
+                i64 t = far[i];
+                if (dist[t] < split) {
+                    flag[t] &= (unsigned char)~NF_FAR;
+                    continue;
+                }
+                if (dist[t] < min_far) min_far = dist[t];
+                far[kept++] = t;
+            }
+            n_far = kept;
+            if (n_far == 0) break;
+            split = (floor(min_far / delta) + 1.0) * delta;
+            splits++;
+            kept = 0;
+            for (i64 i = 0; i < n_far; i++) {
+                i64 t = far[i];
+                if (dist[t] < split) {
+                    flag[t] &= (unsigned char)~NF_FAR;
+                    near[n_near++] = t;
+                } else {
+                    far[kept++] = t;
+                }
+            }
+            n_far = kept;
+            continue;
+        }
+        iters++;
+        i64 edges = 0, heavy = 0;
+        int any_heavy = 0;
+        for (i64 i = 0; i < n_near; i++) {
+            i64 u = near[i] % n;
+            i64 deg = indptr[u + 1] - indptr[u];
+            edges += deg;
+            if (deg > heavy_degree) {
+                any_heavy = 1;
+                heavy += deg;
+            }
+            snap[i] = dist[near[i]];
+        }
+        relax += edges;
+        i64 n_next = 0;
+        if (edges > 0) {
+            if (any_heavy) {
+                heavy_relax += heavy;
+                child += 2 + (heavy + 255) / 256;
+            }
+            for (i64 i = 0; i < n_near; i++) {
+                i64 u = near[i] % n;
+                i64 row = near[i] - u;
+                double du = snap[i];
+                for (i64 e = indptr[u]; e < indptr[u + 1]; e++) {
+                    double cand = du + weights[e];
+                    i64 h = row + indices[e];
+                    if (cand < dist[h]) {
+                        dist[h] = cand;
+                        if (!(flag[h] & NF_TOUCHED)) {
+                            flag[h] |= NF_TOUCHED;
+                            next[n_next++] = h;
+                        }
+                    }
+                }
+            }
+        }
+        n_near = 0;
+        for (i64 i = 0; i < n_next; i++) {
+            i64 h = next[i];
+            flag[h] &= (unsigned char)~NF_TOUCHED;
+            if (dist[h] < split) {
+                near[n_near++] = h;
+            } else if (!(flag[h] & NF_FAR)) {
+                flag[h] |= NF_FAR;
+                far[n_far++] = h;
+            }
+        }
+    }
+    stats[0] = relax;
+    stats[1] = heavy_relax;
+    stats[2] = iters;
+    stats[3] = child;
+    stats[4] = splits;
+}
+"""
+
+_DIJKSTRA_SOURCE = r"""
+/* Lazy-deletion binary-heap Dijkstra, heap ordered by (d, u) -- the
+ * tuple order of Python's heapq, so pops, pushes, relaxations and
+ * predecessors match repro.sssp.dijkstra exactly. dist holds +inf on
+ * entry; pred may be NULL. The heap holds m + 1 entries (one push per
+ * improving relaxation, plus the source). stats receives pushes, pops,
+ * relaxations. */
+typedef struct { double d; i64 u; } dj_entry;
+
+static int dj_less(dj_entry a, dj_entry b)
+{
+    return a.d < b.d || (a.d == b.d && a.u < b.u);
+}
+
+void dijkstra_f64(const i64 *indptr, const i64 *indices,
+                  const double *weights, i64 source, double *dist,
+                  i64 *pred, dj_entry *heap, i64 *stats)
+{
+    i64 size = 1, pushes = 1, pops = 0, relax = 0;
+    dist[source] = 0.0;
+    heap[0].d = 0.0;
+    heap[0].u = source;
+    while (size > 0) {
+        dj_entry top = heap[0];
+        pops++;
+        if (--size > 0) {
+            /* sift the last entry down from the root */
+            dj_entry x = heap[size];
+            i64 i = 0;
+            for (;;) {
+                i64 c = 2 * i + 1;
+                if (c >= size) break;
+                if (c + 1 < size && dj_less(heap[c + 1], heap[c])) c++;
+                if (!dj_less(heap[c], x)) break;
+                heap[i] = heap[c];
+                i = c;
+            }
+            heap[i] = x;
+        }
+        i64 u = top.u;
+        if (top.d > dist[u]) continue; /* stale entry */
+        for (i64 e = indptr[u]; e < indptr[u + 1]; e++) {
+            relax++;
+            dj_entry x = {top.d + weights[e], indices[e]};
+            if (x.d < dist[x.u]) {
+                dist[x.u] = x.d;
+                if (pred) pred[x.u] = u;
+                i64 i = size++;
+                while (i > 0 && dj_less(x, heap[(i - 1) / 2])) {
+                    heap[i] = heap[(i - 1) / 2];
+                    i = (i - 1) / 2;
+                }
+                heap[i] = x;
+                pushes++;
+            }
+        }
+    }
+    stats[0] = pushes;
+    stats[1] = pops;
+    stats[2] = relax;
+}
+"""
+
+#: native SSSP entry points behind repro.sssp.near_far.near_far_batch and
+#: repro.sssp.dijkstra.dijkstra. Appended to the translation unit but kept
+#: out of KERNEL_TEMPLATES: their subscripts go through the CSR arrays,
+#: which the affine bounds prover cannot follow (CSRGraph validates them
+#: at construction instead). ASan/UBSan replays and a seeded defect cover
+#: them dynamically.
+SSSP_SOURCES: dict[str, str] = {
+    "near_far_batch_f64": _NEAR_FAR_SOURCE,
+    "dijkstra_f64": _DIJKSTRA_SOURCE,
+}
+
 #: the min-plus operand contract shared by all three mp_update kernels
 _MP_ARRAYS: dict[str, dict[str, str]] = {
     "c": {"rows": "bi", "cols": "bj", "stride": "cs", "mode": "rw"},
@@ -522,15 +725,19 @@ def kernel_source(
     *,
     prelude: bool = True,
 ) -> str:
-    """Assemble the C translation unit from the kernel templates.
+    """Assemble the C translation unit from the kernel templates, followed
+    by the native SSSP entry points (:data:`SSSP_SOURCES`).
 
     ``overrides`` substitutes individual kernel sources by name — the
     seeded-defect suite uses this to build intentionally broken variants
     without string-surgery on the whole unit.
     """
+    overrides = overrides or {}
     parts = [_C_PRELUDE] if prelude else []
     for template in KERNEL_TEMPLATES:
-        parts.append((overrides or {}).get(template.name, template.source))
+        parts.append(overrides.get(template.name, template.source))
+    for name, source in SSSP_SOURCES.items():
+        parts.append(overrides.get(name, source))
     return "\n".join(parts)
 
 
@@ -756,6 +963,19 @@ class _CCKernels:
         self.fw_blocked = lib.fw_blocked_f32
         self.fw_blocked.argtypes = [ctypes.c_void_p] + [ctypes.c_longlong] * 4
         self.fw_blocked.restype = None
+        self.near_far_batch = lib.near_far_batch_f64
+        self.near_far_batch.argtypes = (
+            [ctypes.c_void_p] * 5
+            + [ctypes.c_longlong] * 2
+            + [ctypes.c_double, ctypes.c_longlong]
+            + [ctypes.c_void_p] * 6
+        )
+        self.near_far_batch.restype = None
+        self.dijkstra = lib.dijkstra_f64
+        self.dijkstra.argtypes = (
+            [ctypes.c_void_p] * 3 + [ctypes.c_longlong] + [ctypes.c_void_p] * 4
+        )
+        self.dijkstra.restype = None
         self._openmp_probe = lib.repro_openmp
         self._openmp_probe.argtypes = []
         self._openmp_probe.restype = ctypes.c_int
@@ -892,6 +1112,40 @@ def load_cc_kernels(sanitize: str | None = None) -> _CCKernels | None:
     return None
 
 
+def _jit_disabled() -> bool:
+    """``REPRO_JIT=off`` (or ``0``/``no``): every compiled flavor is off."""
+    return os.environ.get("REPRO_JIT", "").lower() in ("off", "0", "no")
+
+
+def native_sssp_kernels() -> _CCKernels | None:
+    """The loaded cc kernels for the native SSSP entry points, or ``None``.
+
+    ``None`` — callers run their numpy/Python path — when ``REPRO_JIT=off``
+    is set, no compiler is present, the build fails, or
+    ``REPRO_JIT_SANITIZE`` asks for an instrumented build this process
+    cannot load. The ``.so`` is the one the min-plus engine loads, so it
+    compiles at most once per process.
+    """
+    if _jit_disabled():
+        return None
+    try:
+        return load_cc_kernels()
+    except RuntimeError:
+        return None
+
+
+def ffi_pointer(arr: np.ndarray, dtype: DTypeLike) -> int:
+    """Data address of ``arr`` for a C entry point — the FFI guard of the
+    1-D SSSP buffers: ``arr`` must already be C-contiguous ``dtype``
+    (never a silent copy, whose address would dangle)."""
+    if np.ascontiguousarray(arr, dtype=dtype) is not arr:
+        raise TypeError(
+            f"C kernels need a C-contiguous {np.dtype(dtype).name} array, "
+            f"got {arr.dtype}"
+        )
+    return arr.ctypes.data
+
+
 def cc_build_info(sanitize: str | None = None) -> CCBuildInfo | None:
     """Build provenance of the loaded cc kernels (``None`` if unavailable)."""
     kernels = load_cc_kernels(sanitize)
@@ -977,7 +1231,7 @@ class JITBackend(KernelBackend):
         self._cc = None
         self._fallback = TiledBackend()
         requested = flavor or os.environ.get("REPRO_JIT_FLAVOR") or "auto"
-        if os.environ.get("REPRO_JIT", "").lower() in ("off", "0", "no"):
+        if _jit_disabled():
             requested = "fallback"
         if requested in ("auto", "numba"):
             self._numba = _load_numba_kernels()

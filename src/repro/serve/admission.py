@@ -90,10 +90,14 @@ class AdmissionController:
     def _full_seconds(self, graph: CSRGraph, fingerprint: str) -> float:
         cost = self._full_cost.get(fingerprint)
         if cost is None:
+            from repro.select.cost_models import analytic_estimate_johnson
             from repro.select.selector import Selector
 
             report = Selector(self.spec, analytic=True).select(graph)
-            cost = report.estimated_seconds()
+            if report.algorithm in report.estimates:
+                cost = report.estimated_seconds()
+            else:  # the density filter picked Johnson outright, unpriced
+                cost = analytic_estimate_johnson(graph, self.spec).total_seconds
             self._full_cost[fingerprint] = cost
         return cost
 

@@ -20,6 +20,11 @@ Two entry points:
 
 Both are label-correcting and exact for non-negative weights (property
 tests compare against Dijkstra and scipy under Δ sweeps).
+
+:func:`near_far_batch` runs the C kernel ``near_far_batch_f64`` of the jit
+build when it loads (:func:`near_far_batch_native`) and the vectorised
+numpy code otherwise (``REPRO_JIT=off``, no compiler). Both give the same
+distances and the same :class:`NearFarStats`, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +36,14 @@ import numpy as np
 from repro.graphs.csr import CSRGraph
 from repro.sssp.frontier import expand_frontier, scatter_min, segmented_arange, suggest_delta
 
-__all__ = ["NearFarStats", "near_far", "near_far_batch", "DEFAULT_HEAVY_DEGREE", "EDGES_PER_CHILD_BLOCK"]
+__all__ = [
+    "NearFarStats",
+    "near_far",
+    "near_far_batch",
+    "near_far_batch_native",
+    "DEFAULT_HEAVY_DEGREE",
+    "EDGES_PER_CHILD_BLOCK",
+]
 
 #: out-degree above which the paper's dynamic-parallelism path would launch a
 #: child kernel for the vertex's edge list ("vertices with a large
@@ -79,7 +91,7 @@ def near_far_batch(
     of all sources' Near queues, matching one grid-wide iteration of the
     MSSP kernel (per-block queues, grid-level synchronisation).
     """
-    sources = np.asarray(sources, dtype=np.int64)
+    sources = np.ascontiguousarray(sources, dtype=np.int64)
     n = graph.num_vertices
     if sources.size == 0:
         return np.empty((0, n)), NearFarStats(0, 0, 0, 0, 0)
@@ -90,7 +102,49 @@ def near_far_batch(
     if delta <= 0:
         raise ValueError("delta must be positive")
 
+    from repro.core.backends.jit import native_sssp_kernels  # lazy: repro.core imports us
+
+    kernels = native_sssp_kernels()
+    if kernels is not None:
+        return near_far_batch_native(
+            kernels, graph, sources, delta=float(delta), heavy_degree=heavy_degree
+        )
+    return _near_far_batch_numpy(graph, sources, delta, heavy_degree)
+
+
+def near_far_batch_native(
+    kernels, graph: CSRGraph, sources: np.ndarray, *, delta: float, heavy_degree: int
+) -> tuple[np.ndarray, NearFarStats]:
+    """:func:`near_far_batch` through the C entry point ``near_far_batch_f64``
+    of loaded cc ``kernels``; the arguments are already validated.
+
+    The kernel never allocates: the worklists, their dedup flags and the
+    frontier snapshot are allocated here, ``bat * n`` entries each.
+    """
+    from repro.core.backends.jit import ffi_pointer as ptr
+
+    bat, n = sources.size, graph.num_vertices
+    dist = np.full((bat, n), np.inf)
+    flag = np.zeros(bat * n, dtype=np.uint8)
+    near, nxt, far = (np.empty(bat * n, dtype=np.int64) for _ in range(3))
+    snap = np.empty(bat * n)
+    stats = np.zeros(5, dtype=np.int64)
+    kernels.near_far_batch(
+        ptr(graph.indptr, np.int64), ptr(graph.indices, np.int64),
+        ptr(graph.weights, np.float64), ptr(sources, np.int64),
+        ptr(dist, np.float64), n, bat, delta, int(heavy_degree),
+        ptr(flag, np.uint8), ptr(near, np.int64), ptr(nxt, np.int64),
+        ptr(far, np.int64), ptr(snap, np.float64), ptr(stats, np.int64),
+    )
+    return dist, NearFarStats(*stats.tolist())
+
+
+def _near_far_batch_numpy(
+    graph: CSRGraph, sources: np.ndarray, delta: float, heavy_degree: int
+) -> tuple[np.ndarray, NearFarStats]:
+    """The vectorised numpy path: the fallback and the test oracle."""
     bat = sources.size
+    n = graph.num_vertices
     deg = np.diff(graph.indptr)
     heavy_vertex = deg > heavy_degree
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.backends.jit import SSSP_SOURCES
+
 __all__ = ["DEFECTS", "SeededDefect", "defect_by_name"]
 
 
@@ -28,7 +30,9 @@ class SeededDefect:
     old: str
     new: str
     dynamic: str  # asan | tsan | divergence — the dynamic catcher
-    static_check: str  # finding .check expected from the static pass
+    #: finding .check expected from the static pass; ``None`` for a
+    #: dynamic-only defect in a kernel outside KERNEL_TEMPLATES
+    static_check: str | None
     description: str
 
     def apply(self, source: str) -> str:
@@ -47,7 +51,9 @@ class SeededDefect:
         if self.kind != "c":
             raise ValueError(f"defect {self.name!r} is not a C-source defect")
         assert self.kernel is not None
-        return {self.kernel: self.apply(templates_by_name[self.kernel].source)}
+        template = templates_by_name.get(self.kernel)
+        source = template.source if template else SSSP_SOURCES[self.kernel]
+        return {self.kernel: self.apply(source)}
 
 
 DEFECTS: tuple[SeededDefect, ...] = (
@@ -111,6 +117,18 @@ DEFECTS: tuple[SeededDefect, ...] = (
         description="Python dispatch stops detecting overlapping operands "
         "and routes aliased updates to the disjoint-only fast kernel, "
         "which consumes stale 4-pivot groups (silent wrong distances)",
+    ),
+    SeededDefect(
+        name="edge_loop_overrun",
+        kind="c",
+        kernel="dijkstra_f64",
+        old="for (i64 e = indptr[u]; e < indptr[u + 1]; e++)",
+        new="for (i64 e = indptr[u]; e <= indptr[u + 1]; e++)",
+        dynamic="asan",
+        static_check=None,
+        description="the Dijkstra edge loop runs one edge too far: it relaxes "
+        "the next vertex's first edge (oracle divergence, stats included) "
+        "and reads past the end of indices/weights at the last vertex",
     ),
 )
 

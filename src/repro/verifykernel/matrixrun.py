@@ -6,7 +6,10 @@ every C entry point through the shapes that historically hide bugs —
 remainder tiles, strided row views, aliased operands, saturating int32,
 the float16 round-through path, and the OpenMP panel fan-out — checking
 each result against the numpy reference semantics from
-:mod:`repro.core.backends.base`.
+:mod:`repro.core.backends.base`. The native SSSP entry points
+(``near_far_batch_f64``, ``dijkstra_f64``) replay the differential cases
+against the numpy/Python paths of :mod:`repro.sssp`: distances,
+predecessors and every stats field must match bit for bit.
 
 Run as::
 
@@ -43,6 +46,11 @@ from repro.core.backends.base import (
     rank1_update,
 )
 from repro.core.backends.jit import CCBuildInfo, JITBackend, _CCKernels
+from repro.graphs.csr import CSRGraph
+from repro.graphs.generators import erdos_renyi, rmat, road_like
+from repro.sssp.dijkstra import _dijkstra_python, dijkstra_native
+from repro.sssp.frontier import suggest_delta
+from repro.sssp.near_far import _near_far_batch_numpy, near_far_batch_native
 
 __all__ = ["run_matrix_cases", "main"]
 
@@ -122,6 +130,70 @@ def _mp_args(kern, c, a, b, dtype, tile=_TILE):
     )
 
 
+def _case(name: str, got: np.ndarray, want: np.ndarray, *, same: bool = True) -> dict:
+    """One case record: ``got`` must equal ``want`` exactly, and ``same``
+    carries any further check (stats, predecessors)."""
+    ok = same and bool(np.array_equal(got, want))
+    both = np.isfinite(got) & np.isfinite(want)
+    err = 0.0 if ok else float(np.max(np.abs(got[both] - want[both]), initial=0.0))
+    mismatched = 0 if ok else int(np.sum((got != want) & ~(np.isnan(got) & np.isnan(want))))
+    return {"name": name, "ok": ok, "max_err": err, "mismatched": mismatched}
+
+
+def _sssp_graphs(rng: np.random.Generator, fast: bool) -> list[tuple[str, CSRGraph]]:
+    """The SSSP differential cases, each CSR array an exact-size copy so
+    ASan's redzone sits right behind the last edge.
+
+    Road (integer weights), rmat with heavy hubs (fractional weights),
+    a sparse Erdős–Rényi graph with isolated vertices and zero weights,
+    and ``n = 1``.
+    """
+    road = road_like(120 if fast else 400, 2.5, seed=1)
+    hubs = rmat(96 if fast else 256, 1500 if fast else 4000, seed=2)
+    sparse = erdos_renyi(80, 60, seed=3)
+    cases = [
+        ("road/int", road, road.weights),
+        ("rmat/frac", hubs, rng.uniform(0.0, 10.0, hubs.num_edges)),
+        ("er/zeros", sparse, rng.integers(0, 3, sparse.num_edges).astype(np.float64)),
+        ("n=1", CSRGraph.from_edges(1, [], [], []), np.empty(0)),
+    ]
+    return [
+        (name, CSRGraph(g.indptr.copy(), g.indices.copy(), np.array(w, dtype=np.float64)))
+        for name, g, w in cases
+    ]
+
+
+def run_sssp_cases(kern: _CCKernels, *, fast: bool = False) -> list[dict]:
+    """Native SSSP kernels vs the numpy/Python paths; one record per case.
+
+    Every graph's last vertex is a source: a Dijkstra edge loop that runs
+    one edge too far reads past the end of ``indices`` there.
+    """
+    rng = np.random.default_rng(20261017)
+    cases: list[dict] = []
+
+    def record(name: str, got: np.ndarray, want: np.ndarray, same: bool) -> None:
+        cases.append(_case(name, got, want, same=same))
+
+    for name, g in _sssp_graphs(rng, fast):
+        n = g.num_vertices
+        sources = np.array(sorted({0, n // 2, n - 1}) + [0], dtype=np.int64)
+        for delta in (suggest_delta(g), 5.0):
+            for heavy in (0, 32):
+                got, got_stats = near_far_batch_native(
+                    kern, g, sources, delta=delta, heavy_degree=heavy
+                )
+                want, want_stats = _near_far_batch_numpy(g, sources, delta, heavy)
+                record(f"sssp/near_far/{name}/delta={delta:g}/heavy={heavy}",
+                       got, want, got_stats == want_stats)
+        for s in sorted({0, n - 1}):
+            got_d, got_p, got_stats = dijkstra_native(kern, g, s, with_predecessors=True)
+            want_d, want_p, want_stats = _dijkstra_python(g, s, with_predecessors=True)
+            record(f"sssp/dijkstra/{name}/source={s}", got_d, want_d,
+                   got_stats == want_stats and bool(np.array_equal(got_p, want_p)))
+    return cases
+
+
 def run_matrix_cases(
     kern: _CCKernels, *, fast: bool = False, force_fast_alias: bool = False
 ) -> list[dict]:
@@ -129,18 +201,8 @@ def run_matrix_cases(
     rng = np.random.default_rng(20260808)
     cases: list[dict] = []
 
-    def record(name: str, got: np.ndarray, want: np.ndarray, exact: bool = True) -> None:
-        both = np.isfinite(got) & np.isfinite(want)
-        if exact:
-            ok = bool(np.array_equal(got, want))
-        else:
-            ok = bool(
-                np.array_equal(np.isfinite(got), np.isfinite(want))
-                and np.allclose(got[both], want[both], rtol=5e-4, atol=5e-4)
-            )
-        err = 0.0 if ok else float(np.max(np.abs(got[both] - want[both]), initial=0.0))
-        mismatched = 0 if ok else int(np.sum((got != want) & ~(np.isnan(got) & np.isnan(want))))
-        cases.append({"name": name, "ok": ok, "max_err": err, "mismatched": mismatched})
+    def record(name: str, got: np.ndarray, want: np.ndarray) -> None:
+        cases.append(_case(name, got, want))
 
     sizes = [33] if fast else [33, 64, 97]
 
@@ -260,6 +322,7 @@ def run_matrix_cases(
             kern.mp_update_omp(*_mp_args(kern, d, d, d, np.float32), threads, 1)
             record(f"f32/omp/alias-routed/threads={threads}", d, want_d2)
 
+    cases.extend(run_sssp_cases(kern, fast=fast))
     return cases
 
 

@@ -13,7 +13,9 @@ autotuner consume. It composes:
 - the optional **seeded-defect cross-validation**: every defect in
   :data:`repro.verifykernel.defects.DEFECTS` must be flagged by the
   static pass *and* by its dynamic catcher — zero false negatives on
-  the seeded suite, zero findings on clean kernels.
+  the seeded suite, zero findings on clean kernels. Defects in the
+  native SSSP kernels (:data:`repro.core.backends.jit.SSSP_SOURCES`,
+  outside the static pass) are dynamic only.
 """
 
 from __future__ import annotations
@@ -111,6 +113,7 @@ class DefectResult:
     def to_dict(self) -> dict:
         return {
             "name": self.defect.name,
+            "dynamic_only": self.defect.static_check is None,
             "static_caught": self.static_caught,
             "static_findings": [f.to_dict() for f in self.static_findings],
             "dynamic": self.dynamic.to_dict() if self.dynamic else None,
@@ -121,7 +124,9 @@ class DefectResult:
 
 def _run_defect(defect: SeededDefect, *, fast: bool) -> DefectResult:
     templates_by_name = {t.name: t for t in KERNEL_TEMPLATES}
-    if defect.kind == "c":
+    if defect.static_check is None:
+        found: list[Finding] = []  # dynamic only: outside the static pass
+    elif defect.kind == "c":
         overrides = defect.overrides(templates_by_name)
         found = static_findings(overrides)
     else:
@@ -141,7 +146,8 @@ def _run_defect(defect: SeededDefect, *, fast: bool) -> DefectResult:
         dynamic = None
     if dynamic is not None and not dynamic.available:
         dynamic = None  # toolchain can't run the leg: skip, don't fail
-    ok = static_caught and (dynamic is None or dynamic.caught)
+    static_ok = static_caught or defect.static_check is None
+    ok = static_ok and (dynamic is None or dynamic.caught)
     return DefectResult(defect, static_caught, relevant, dynamic, ok)
 
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.dynamic.patch import EdgeUpdate
 from repro.faults.plan import FaultPlan
-from repro.graphs.generators import erdos_renyi
+from repro.graphs.generators import erdos_renyi, road_like
 from repro.gpu.device import TEST_DEVICE
 from repro.gpu.errors import TransientDeviceError
 from repro.serve import AdmissionError, APSPService, Query
@@ -258,6 +258,17 @@ class TestAdmissionControl:
             service.submit(query)
         responses = service.drain()
         assert [r.served_from for r in responses] == ["closure-cache"] * 3
+
+    def test_full_query_in_johnson_only_band_is_priced(self, tmp_path):
+        """road_like(1024) falls in the density band where the selector
+        picks Johnson without estimating anything; pricing a full query
+        there used to raise ``KeyError: 'johnson'``."""
+        graph = road_like(1024, 2.5)
+        service = APSPService(graph, cache_dir=tmp_path / "cache")
+        service.submit(Query.full())
+        (response,) = service.drain()
+        truth = oracle_apsp(graph)
+        assert np.array_equal(np.asarray(response.value, dtype=np.float64), truth)
 
     def test_backlog_releases_on_completion(self):
         graph = _graph()

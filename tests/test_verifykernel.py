@@ -4,8 +4,10 @@ The layer's promise is two-sided and these tests hold both sides at
 once: the static analyzer and the sanitizer harness must each stay
 *silent* on the shipped kernels and each *fire* on every seeded defect
 (off-by-one subscript, dropped remainder guard, widened OpenMP panel,
-serial fan-out, unsound alias routing). Dynamic legs self-skip on
-toolchains without a compiler or sanitizer runtime; the static side
+serial fan-out, unsound alias routing). The native SSSP kernels sit
+outside the static pass: their seeded edge-loop overrun must be caught
+dynamically, by ASan and by oracle divergence. Dynamic legs self-skip
+on toolchains without a compiler or sanitizer runtime; the static side
 runs everywhere.
 """
 
@@ -20,6 +22,7 @@ from repro.core.backends.jit import (
     KERNEL_TEMPLATES,
     cc_compiler,
     compile_cc_so,
+    kernel_source,
 )
 from repro.verifykernel import (
     DEFECTS,
@@ -71,7 +74,10 @@ def test_derived_alias_classes_match_declarations():
         assert cls == t.alias_class, t.name
 
 
-@pytest.mark.parametrize("defect", DEFECTS, ids=lambda d: d.name)
+STATIC_DEFECTS = [d for d in DEFECTS if d.static_check is not None]
+
+
+@pytest.mark.parametrize("defect", STATIC_DEFECTS, ids=lambda d: d.name)
 def test_each_seeded_defect_is_caught_statically(defect):
     findings = _defect_findings(defect)
     checks = {f.check for f in findings}
@@ -151,6 +157,34 @@ def test_ubsan_leg_clean_on_shipped_kernels():
 @_needs_sanitizer("asan")
 def test_asan_catches_off_by_one_subscript():
     d = defect_by_name("off_by_one_subscript")
+    r = run_matrix("asan", overrides=d.overrides(TPL), fast=True)
+    assert r.ran and r.faulted, (r.returncode, r.detail)
+
+
+@needs_cc
+def test_edge_loop_overrun_diverges_from_the_oracle(tmp_path):
+    """The seeded SSSP defect on a plain build: stats and distances leave
+    the Python oracle. Vertex 3 is unreachable from 0, so the overrun only
+    ever reads the next vertex's first edge, never past the arrays."""
+    from repro.graphs.csr import CSRGraph
+    from repro.sssp.dijkstra import _dijkstra_python, dijkstra_native
+    from repro.verifykernel.matrixrun import _load
+
+    d = defect_by_name("edge_loop_overrun")
+    so, _ = compile_cc_so(
+        cc_compiler(), list(_DEGRADED_CFLAGS), False,
+        source=kernel_source(d.overrides(TPL)), cache_dir=tmp_path,
+    )
+    g = CSRGraph.from_edges(4, [0, 1, 2, 3], [1, 2, 0, 0], [5.0, 5.0, 5.0, 1.0])
+    got = dijkstra_native(_load(str(so)), g, 0, with_predecessors=True)
+    want = _dijkstra_python(g, 0, with_predecessors=True)
+    assert got[2] != want[2]
+
+
+@_needs_sanitizer("asan")
+def test_asan_catches_edge_loop_overrun():
+    d = defect_by_name("edge_loop_overrun")
+    assert d.static_check is None  # dynamic only
     r = run_matrix("asan", overrides=d.overrides(TPL), fast=True)
     assert r.ran and r.faulted, (r.returncode, r.detail)
 
