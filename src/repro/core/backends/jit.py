@@ -74,10 +74,13 @@ exercises the degradation path).
 
 The same ``.so`` carries two native SSSP entry points outside the
 templates (:data:`SSSP_SOURCES`): ``near_far_batch_f64`` and
-``dijkstra_f64``, reached through :func:`native_sssp_kernels` from
+``dijkstra_f64``, reached through :func:`native_kernels` from
 :func:`repro.sssp.near_far.near_far_batch` and
-:func:`repro.sssp.dijkstra.dijkstra`. ``REPRO_JIT=off`` or a failed
-build sends those back to their numpy/Python paths.
+:func:`repro.sssp.dijkstra.dijkstra`; and three partitioner entry points
+(:data:`PARTITION_SOURCES`): ``bfs_hops_f64``,
+``heavy_edge_matching_f64`` and ``refine_pass_f64``, behind
+:mod:`repro.partition`. ``REPRO_JIT=off`` or a failed build sends all of
+them back to their numpy/Python paths.
 
 A reduced-precision semiring rides the same interface:
 :meth:`JITBackend.update_i32` runs an exact saturating int32 min-plus in C
@@ -111,6 +114,7 @@ __all__ = [
     "KERNEL_TEMPLATES",
     "KernelTemplate",
     "SANITIZER_FLAGS",
+    "PARTITION_SOURCES",
     "SSSP_SOURCES",
     "cc_build_info",
     "cc_compiler",
@@ -118,7 +122,7 @@ __all__ = [
     "ffi_pointer",
     "kernel_source",
     "load_cc_kernels",
-    "native_sssp_kernels",
+    "native_kernels",
     "sanitizer_runtime",
 ]
 
@@ -655,6 +659,106 @@ void dijkstra_f64(const i64 *indptr, const i64 *indices,
 }
 """
 
+_BFS_HOPS_SOURCE = r"""
+/* Hop counts from one source by a FIFO BFS. hop holds +inf on entry. BFS
+ * hop distances do not depend on the visiting order, so the array equals
+ * the level-by-level numpy path of repro.partition.kway. queue holds n
+ * entries (each vertex is enqueued at most once). */
+void bfs_hops_f64(const i64 *indptr, const i64 *indices, i64 source,
+                  double *hop, i64 *queue)
+{
+    i64 head = 0, tail = 0;
+    hop[source] = 0.0;
+    queue[tail++] = source;
+    while (head < tail) {
+        i64 u = queue[head++];
+        double level = hop[u] + 1.0;
+        for (i64 e = indptr[u]; e < indptr[u + 1]; e++) {
+            i64 v = indices[e];
+            if (isinf(hop[v])) {
+                hop[v] = level;
+                queue[tail++] = v;
+            }
+        }
+    }
+}
+"""
+
+_MATCHING_SOURCE = r"""
+/* Greedy heavy-edge matching in the caller's visiting order (drawn by
+ * repro.partition.coarsen): each unmatched vertex takes its heaviest
+ * unmatched neighbour, the first in CSR order on ties. match holds v at
+ * index v on entry; matched is n zeroed bytes. */
+void heavy_edge_matching_f64(const i64 *indptr, const i64 *indices,
+                             const double *weights, const i64 *order, i64 n,
+                             i64 *match, unsigned char *matched)
+{
+    for (i64 i = 0; i < n; i++) {
+        i64 u = order[i];
+        if (matched[u]) continue;
+        i64 best = -1;
+        double best_w = -INFINITY;
+        for (i64 e = indptr[u]; e < indptr[u + 1]; e++) {
+            i64 v = indices[e];
+            if (v != u && !matched[v] && weights[e] > best_w) {
+                best = v;
+                best_w = weights[e];
+            }
+        }
+        if (best >= 0) {
+            match[u] = best;
+            match[best] = u;
+            matched[u] = 1;
+            matched[best] = 1;
+        }
+    }
+}
+"""
+
+_REFINE_SOURCE = r"""
+/* One greedy k-way refinement pass over the caller's shuffled boundary
+ * list, with the semantics of np.bincount + np.argmax in
+ * repro.partition.refine: conn sums v's edge strengths per part in CSR
+ * edge order from +0.0, the own part and every part without room read
+ * -inf, the first maximum wins, and v moves only on a positive gain.
+ * (CSRGraph rejects NaN weights, so conn holds no NaN for argmax to
+ * prefer.) labels, part_weight and part_count are updated in place; conn
+ * is k doubles of scratch. Returns the number of moves. */
+i64 refine_pass_f64(const i64 *indptr, const i64 *indices,
+                    const double *weights, const i64 *order, i64 n_order,
+                    i64 k, const double *vweight, double max_weight,
+                    i64 *labels, double *part_weight, i64 *part_count,
+                    double *conn)
+{
+    i64 moved = 0;
+    for (i64 i = 0; i < n_order; i++) {
+        i64 v = order[i];
+        i64 a = labels[v];
+        if (part_count[a] <= 1) continue;
+        for (i64 p = 0; p < k; p++) conn[p] = 0.0;
+        for (i64 e = indptr[v]; e < indptr[v + 1]; e++)
+            conn[labels[indices[e]]] += weights[e];
+        double conn_a = conn[a];
+        conn[a] = -INFINITY;
+        i64 b = 0;
+        for (i64 p = 0; p < k; p++) {
+            if (!(part_weight[p] + vweight[v] <= max_weight)) conn[p] = -INFINITY;
+            if (conn[p] > conn[b]) b = p;
+        }
+        if (conn[b] == -INFINITY) continue;
+        if (conn[b] - conn_a > 0) {
+            labels[v] = b;
+            part_weight[a] -= vweight[v];
+            part_weight[b] += vweight[v];
+            part_count[a]--;
+            part_count[b]++;
+            moved++;
+        }
+    }
+    return moved;
+}
+"""
+
 #: native SSSP entry points behind repro.sssp.near_far.near_far_batch and
 #: repro.sssp.dijkstra.dijkstra. Appended to the translation unit but kept
 #: out of KERNEL_TEMPLATES: their subscripts go through the CSR arrays,
@@ -664,6 +768,16 @@ void dijkstra_f64(const i64 *indptr, const i64 *indices,
 SSSP_SOURCES: dict[str, str] = {
     "near_far_batch_f64": _NEAR_FAR_SOURCE,
     "dijkstra_f64": _DIJKSTRA_SOURCE,
+}
+
+#: native partitioner entry points behind repro.partition (seed BFS,
+#: heavy-edge matching, one refinement pass). Kept out of KERNEL_TEMPLATES
+#: like SSSP_SOURCES, for the same reason; every random draw stays in
+#: Python, so labels are those of the numpy/Python paths.
+PARTITION_SOURCES: dict[str, str] = {
+    "bfs_hops_f64": _BFS_HOPS_SOURCE,
+    "heavy_edge_matching_f64": _MATCHING_SOURCE,
+    "refine_pass_f64": _REFINE_SOURCE,
 }
 
 #: the min-plus operand contract shared by all three mp_update kernels
@@ -726,7 +840,8 @@ def kernel_source(
     prelude: bool = True,
 ) -> str:
     """Assemble the C translation unit from the kernel templates, followed
-    by the native SSSP entry points (:data:`SSSP_SOURCES`).
+    by the native SSSP and partitioner entry points (:data:`SSSP_SOURCES`,
+    :data:`PARTITION_SOURCES`).
 
     ``overrides`` substitutes individual kernel sources by name — the
     seeded-defect suite uses this to build intentionally broken variants
@@ -736,7 +851,7 @@ def kernel_source(
     parts = [_C_PRELUDE] if prelude else []
     for template in KERNEL_TEMPLATES:
         parts.append(overrides.get(template.name, template.source))
-    for name, source in SSSP_SOURCES.items():
+    for name, source in {**SSSP_SOURCES, **PARTITION_SOURCES}.items():
         parts.append(overrides.get(name, source))
     return "\n".join(parts)
 
@@ -976,6 +1091,24 @@ class _CCKernels:
             [ctypes.c_void_p] * 3 + [ctypes.c_longlong] + [ctypes.c_void_p] * 4
         )
         self.dijkstra.restype = None
+        self.bfs_hops = lib.bfs_hops_f64
+        self.bfs_hops.argtypes = (
+            [ctypes.c_void_p] * 2 + [ctypes.c_longlong] + [ctypes.c_void_p] * 2
+        )
+        self.bfs_hops.restype = None
+        self.heavy_edge_matching = lib.heavy_edge_matching_f64
+        self.heavy_edge_matching.argtypes = (
+            [ctypes.c_void_p] * 4 + [ctypes.c_longlong] + [ctypes.c_void_p] * 2
+        )
+        self.heavy_edge_matching.restype = None
+        self.refine_pass = lib.refine_pass_f64
+        self.refine_pass.argtypes = (
+            [ctypes.c_void_p] * 4
+            + [ctypes.c_longlong] * 2
+            + [ctypes.c_void_p, ctypes.c_double]
+            + [ctypes.c_void_p] * 4
+        )
+        self.refine_pass.restype = ctypes.c_longlong
         self._openmp_probe = lib.repro_openmp
         self._openmp_probe.argtypes = []
         self._openmp_probe.restype = ctypes.c_int
@@ -1117,8 +1250,9 @@ def _jit_disabled() -> bool:
     return os.environ.get("REPRO_JIT", "").lower() in ("off", "0", "no")
 
 
-def native_sssp_kernels() -> _CCKernels | None:
-    """The loaded cc kernels for the native SSSP entry points, or ``None``.
+def native_kernels() -> _CCKernels | None:
+    """The loaded cc kernels for the native SSSP and partitioner entry
+    points, or ``None``.
 
     ``None`` — callers run their numpy/Python path — when ``REPRO_JIT=off``
     is set, no compiler is present, the build fails, or

@@ -156,7 +156,7 @@ def plan_boundary(
         step2_bytes = nmax * nmax * _ELEM
         # step 4 residents: bound + C2B + B2C + tmp1 (+ output buffers below)
         step4_fixed = bound_bytes + (2 * nmax * bmax + nmax * bmax) * _ELEM
-        strip_bytes = nmax * n * _ELEM  # one block-row of output
+        strip_bytes = max(1, nmax * n * _ELEM)  # one block-row of output (>= 1 at n = 0)
 
         if step2_bytes > budget:
             last_detail = (

@@ -79,7 +79,7 @@ def plan_batch_size(
     ) * spec.sparse_charge_factor
     if free < per_instance:
         raise OutOfMemoryError(int(per_instance + s), max(0, free), spec.memory_bytes)
-    return int(min(n, free // per_instance))
+    return int(min(n, free // per_instance)) if per_instance else n
 
 
 def run_mssp_batch(

@@ -33,7 +33,7 @@ class CSRGraph:
         ``int64`` array of the head vertex of each edge.
     weights:
         ``float64`` array of non-negative edge weights, parallel to
-        ``indices``.
+        ``indices``; NaN is rejected (``+inf`` is allowed).
     name:
         Optional label used by the benchmark harness and ``repr``.
     """
@@ -62,8 +62,9 @@ class CSRGraph:
         n = indptr.size - 1
         if indices.size and (indices.min() < 0 or indices.max() >= n):
             raise ValueError("edge head out of range")
-        if weights.size and weights.min() < 0:
-            raise ValueError("edge weights must be non-negative")
+        # ``not min >= 0`` also rejects NaN (NaN compares False) in one pass
+        if weights.size and not weights.min() >= 0:
+            raise ValueError("edge weights must be non-negative numbers (no NaN)")
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "weights", weights)

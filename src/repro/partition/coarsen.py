@@ -17,7 +17,12 @@ import numpy as np
 
 from repro.graphs.csr import CSRGraph
 
-__all__ = ["CoarseLevel", "coarsen_graph", "heavy_edge_matching"]
+__all__ = [
+    "CoarseLevel",
+    "coarsen_graph",
+    "heavy_edge_matching",
+    "heavy_edge_matching_native",
+]
 
 
 @dataclass(frozen=True)
@@ -35,12 +40,42 @@ def heavy_edge_matching(
     """Greedy heavy-edge matching; returns ``match[v]`` (= v if unmatched).
 
     Vertices are visited in random order; each unmatched vertex matches its
-    heaviest-strength unmatched neighbour.
+    heaviest-strength unmatched neighbour. The order is drawn here; the
+    C entry point ``heavy_edge_matching_f64`` walks it when the jit build
+    loads, the Python loop otherwise, with the same result.
     """
+    order = rng.permutation(graph.num_vertices)
+    from repro.core.backends.jit import native_kernels  # lazy: repro.core imports us
+
+    kernels = native_kernels()
+    if kernels is not None:
+        return heavy_edge_matching_native(kernels, graph, order)
+    return _heavy_edge_matching_python(graph, order)
+
+
+def heavy_edge_matching_native(kernels, graph: CSRGraph, order: np.ndarray) -> np.ndarray:
+    """Heavy-edge matching in visiting ``order`` through the C entry point
+    ``heavy_edge_matching_f64`` of loaded cc ``kernels``."""
+    from repro.core.backends.jit import ffi_pointer as ptr
+
+    n = graph.num_vertices
+    if order.shape != (n,) or (n and not 0 <= order.min() <= order.max() < n):
+        raise ValueError("order must hold n vertex ids")
+    match = np.arange(n, dtype=np.int64)
+    matched = np.zeros(n, dtype=np.uint8)
+    kernels.heavy_edge_matching(
+        ptr(graph.indptr, np.int64), ptr(graph.indices, np.int64),
+        ptr(graph.weights, np.float64), ptr(order, np.int64), n,
+        ptr(match, np.int64), ptr(matched, np.uint8),
+    )
+    return match
+
+
+def _heavy_edge_matching_python(graph: CSRGraph, order: np.ndarray) -> np.ndarray:
+    """The Python loop: the fallback and the test oracle."""
     n = graph.num_vertices
     match = np.arange(n, dtype=np.int64)
     matched = np.zeros(n, dtype=bool)
-    order = rng.permutation(n)
     indptr, indices, weights = graph.indptr, graph.indices, graph.weights
     for u in order:
         if matched[u]:

@@ -5,6 +5,12 @@ boundary algorithm calls (Algorithm 3, step 1): coarsen by heavy-edge
 matching, partition the coarsest graph by greedy region growing from
 spread-out seeds, then uncoarsen with boundary refinement at every level.
 
+The seed BFS, the matching and each refinement pass run C entry points of
+the jit build when it loads (``REPRO_JIT=off``, no compiler or a failed
+build keep the numpy/Python paths). Every random draw stays in Python and
+the C code follows the Python semantics exactly, so the labels are the
+same on both paths.
+
 Directed inputs are symmetrised for partitioning (cut direction is
 irrelevant to the boundary-vertex definition) and connectivity strengths are
 uniform, which minimises the *number* of cut edges — a proxy for the number
@@ -21,7 +27,7 @@ from repro.graphs.csr import CSRGraph
 from repro.partition.coarsen import CoarseLevel, coarsen_graph
 from repro.partition.refine import edge_cut, refine_partition
 
-__all__ = ["PartitionResult", "partition_kway"]
+__all__ = ["PartitionResult", "bfs_hops_native", "partition_kway"]
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,34 @@ def _spread_seeds(graph: CSRGraph, k: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _bfs_hops(graph: CSRGraph, source: int) -> np.ndarray:
+    """Hop distance from ``source`` (``inf`` where unreachable)."""
+    from repro.core.backends.jit import native_kernels  # lazy: repro.core imports us
+
+    kernels = native_kernels()
+    if kernels is not None:
+        return bfs_hops_native(kernels, graph, source)
+    return _bfs_hops_python(graph, source)
+
+
+def bfs_hops_native(kernels, graph: CSRGraph, source: int) -> np.ndarray:
+    """:func:`_bfs_hops` through the C entry point ``bfs_hops_f64`` of
+    loaded cc ``kernels``; the FIFO queue is allocated here."""
+    from repro.core.backends.jit import ffi_pointer as ptr
+
+    n = graph.num_vertices
+    if not 0 <= source < n:
+        raise ValueError(f"source {source} out of range for n={n}")
+    hop = np.full(n, np.inf)
+    queue = np.empty(n, dtype=np.int64)
+    kernels.bfs_hops(
+        ptr(graph.indptr, np.int64), ptr(graph.indices, np.int64), int(source),
+        ptr(hop, np.float64), ptr(queue, np.int64),
+    )
+    return hop
+
+
+def _bfs_hops_python(graph: CSRGraph, source: int) -> np.ndarray:
+    """The level-by-level numpy path: the fallback and the test oracle."""
     n = graph.num_vertices
     hop = np.full(n, np.inf)
     hop[source] = 0.0

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.graphs.csr import CSRGraph
 
-__all__ = ["refine_partition", "edge_cut"]
+__all__ = ["edge_cut", "refine_partition", "refine_pass_native"]
 
 
 def edge_cut(graph: CSRGraph, labels: np.ndarray) -> float:
@@ -39,8 +39,13 @@ def refine_partition(
     ``conn(v, b) − conn(v, a)`` where ``conn`` sums strengths of ``v``'s
     edges into a part. Moves must keep every part's weight at most
     ``balance_tol · (total/num_parts)`` and no part may be emptied.
+    Each pass shuffles the boundary here and walks it in the C entry point
+    ``refine_pass_f64`` when the jit build loads, in Python otherwise,
+    with the same result.
     """
     labels = np.asarray(labels, dtype=np.int64).copy()
+    if labels.size and (labels.min() < 0 or labels.max() >= num_parts):
+        raise ValueError("labels must lie in [0, num_parts)")
     n = graph.num_vertices
     if vertex_weight is None:
         vertex_weight = np.ones(n)
@@ -50,37 +55,95 @@ def refine_partition(
     max_weight = balance_tol * vertex_weight.sum() / num_parts
     part_count = np.bincount(labels, minlength=num_parts)
 
-    indptr, indices, weights = graph.indptr, graph.indices, graph.weights
+    from repro.core.backends.jit import native_kernels  # lazy: repro.core imports us
 
+    kernels = native_kernels()
+    src, dst, _ = graph.edge_array()
     for _pass in range(max_passes):
-        moved = 0
-        src, dst, _ = graph.edge_array()
         boundary = np.unique(src[labels[src] != labels[dst]])
         if boundary.size == 0:
             break
-        for v in rng.permutation(boundary):
-            a = labels[v]
-            if part_count[a] <= 1:
-                continue
-            lo, hi = indptr[v], indptr[v + 1]
-            nbr_parts = labels[indices[lo:hi]]
-            conn = np.bincount(nbr_parts, weights=weights[lo:hi], minlength=num_parts)
-            conn_a = conn[a]
-            conn[a] = -np.inf
-            # Only parts with room.
-            room = part_weight + vertex_weight[v] <= max_weight
-            conn[~room] = -np.inf
-            b = int(np.argmax(conn))
-            if conn[b] == -np.inf:
-                continue
-            gain = conn[b] - conn_a
-            if gain > 0:
-                labels[v] = b
-                part_weight[a] -= vertex_weight[v]
-                part_weight[b] += vertex_weight[v]
-                part_count[a] -= 1
-                part_count[b] += 1
-                moved += 1
+        order = rng.permutation(boundary)
+        state = (labels, num_parts, vertex_weight, max_weight, part_weight, part_count)
+        if kernels is not None:
+            moved = refine_pass_native(kernels, graph, order, *state)
+        else:
+            moved = _refine_pass_python(graph, order, *state)
         if moved == 0:
             break
     return labels
+
+
+def refine_pass_native(
+    kernels,
+    graph: CSRGraph,
+    order: np.ndarray,
+    labels: np.ndarray,
+    num_parts: int,
+    vertex_weight: np.ndarray,
+    max_weight: float,
+    part_weight: np.ndarray,
+    part_count: np.ndarray,
+) -> int:
+    """One refinement pass over ``order`` through the C entry point
+    ``refine_pass_f64`` of loaded cc ``kernels``; updates ``labels``,
+    ``part_weight`` and ``part_count`` in place and returns the moves."""
+    from repro.core.backends.jit import ffi_pointer as ptr
+
+    n = graph.num_vertices
+    if order.size and not 0 <= order.min() <= order.max() < n:
+        raise ValueError("order must hold vertex ids")
+    if labels.size < n or vertex_weight.size < n or not (
+        part_weight.shape == part_count.shape == (num_parts,)
+    ):
+        raise ValueError("labels/vertex_weight need n entries, part arrays num_parts")
+    if labels.size and not 0 <= labels.min() <= labels.max() < num_parts:
+        raise ValueError("labels must lie in [0, num_parts)")
+    vertex_weight = np.ascontiguousarray(vertex_weight, dtype=np.float64)
+    conn = np.empty(num_parts)
+    return int(kernels.refine_pass(
+        ptr(graph.indptr, np.int64), ptr(graph.indices, np.int64),
+        ptr(graph.weights, np.float64), ptr(order, np.int64), order.size,
+        num_parts, ptr(vertex_weight, np.float64), float(max_weight),
+        ptr(labels, np.int64), ptr(part_weight, np.float64),
+        ptr(part_count, np.int64), ptr(conn, np.float64),
+    ))
+
+
+def _refine_pass_python(
+    graph: CSRGraph,
+    order: np.ndarray,
+    labels: np.ndarray,
+    num_parts: int,
+    vertex_weight: np.ndarray,
+    max_weight: float,
+    part_weight: np.ndarray,
+    part_count: np.ndarray,
+) -> int:
+    """The numpy loop: the fallback and the test oracle."""
+    indptr, indices, weights = graph.indptr, graph.indices, graph.weights
+    moved = 0
+    for v in order:
+        a = labels[v]
+        if part_count[a] <= 1:
+            continue
+        lo, hi = indptr[v], indptr[v + 1]
+        nbr_parts = labels[indices[lo:hi]]
+        conn = np.bincount(nbr_parts, weights=weights[lo:hi], minlength=num_parts)
+        conn_a = conn[a]
+        conn[a] = -np.inf
+        # Only parts with room.
+        room = part_weight + vertex_weight[v] <= max_weight
+        conn[~room] = -np.inf
+        b = int(np.argmax(conn))
+        if conn[b] == -np.inf:
+            continue
+        gain = conn[b] - conn_a
+        if gain > 0:
+            labels[v] = b
+            part_weight[a] -= vertex_weight[v]
+            part_weight[b] += vertex_weight[v]
+            part_count[a] -= 1
+            part_count[b] += 1
+            moved += 1
+    return moved

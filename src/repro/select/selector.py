@@ -127,9 +127,10 @@ class Selector:
         band = density_band(density)
         candidates = filter_candidates(graph, density_scale=self.density_scale)
 
-        if candidates == ("johnson",):
+        # one candidate, or an empty graph (nothing to sample): no estimates
+        if candidates == ("johnson",) or graph.num_vertices == 0:
             return SelectionReport(
-                algorithm="johnson", density=density, band=band,
+                algorithm=candidates[0], density=density, band=band,
                 candidates=candidates, method=self.method,
             )
 

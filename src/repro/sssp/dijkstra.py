@@ -50,9 +50,9 @@ def dijkstra(
     n = graph.num_vertices
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range for n={n}")
-    from repro.core.backends.jit import native_sssp_kernels  # lazy: repro.core imports us
+    from repro.core.backends.jit import native_kernels  # lazy: repro.core imports us
 
-    kernels = native_sssp_kernels()
+    kernels = native_kernels()
     if kernels is not None:
         return dijkstra_native(
             kernels, graph, int(source), with_predecessors=with_predecessors

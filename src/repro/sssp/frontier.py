@@ -81,5 +81,8 @@ def suggest_delta(graph: CSRGraph) -> float:
     if graph.num_edges == 0:
         return 1.0
     mean_w = float(graph.weights.mean())
+    if mean_w == np.inf:  # +inf edges lie on no shortest path: scale by the rest
+        finite = graph.weights[np.isfinite(graph.weights)]
+        mean_w = float(finite.mean()) if finite.size else 1.0
     avg_deg = graph.num_edges / max(1, graph.num_vertices)
     return max(mean_w / max(1.0, np.sqrt(avg_deg)), 1e-6)

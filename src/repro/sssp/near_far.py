@@ -99,12 +99,12 @@ def near_far_batch(
         raise ValueError("source out of range")
     if delta is None:
         delta = suggest_delta(graph)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < np.inf:  # a NaN split never advances: the C loop would spin
+        raise ValueError("delta must be positive and finite")
 
-    from repro.core.backends.jit import native_sssp_kernels  # lazy: repro.core imports us
+    from repro.core.backends.jit import native_kernels  # lazy: repro.core imports us
 
-    kernels = native_sssp_kernels()
+    kernels = native_kernels()
     if kernels is not None:
         return near_far_batch_native(
             kernels, graph, sources, delta=float(delta), heavy_degree=heavy_degree

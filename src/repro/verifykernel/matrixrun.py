@@ -9,7 +9,10 @@ each result against the numpy reference semantics from
 :mod:`repro.core.backends.base`. The native SSSP entry points
 (``near_far_batch_f64``, ``dijkstra_f64``) replay the differential cases
 against the numpy/Python paths of :mod:`repro.sssp`: distances,
-predecessors and every stats field must match bit for bit.
+predecessors and every stats field must match bit for bit. The native
+partitioner entry points (``bfs_hops_f64``, ``heavy_edge_matching_f64``,
+``refine_pass_f64``) replay theirs against :mod:`repro.partition`'s
+Python paths: hop arrays, matchings, labels, part weights and move counts.
 
 Run as::
 
@@ -48,11 +51,14 @@ from repro.core.backends.base import (
 from repro.core.backends.jit import CCBuildInfo, JITBackend, _CCKernels
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import erdos_renyi, rmat, road_like
+from repro.partition.coarsen import _heavy_edge_matching_python, heavy_edge_matching_native
+from repro.partition.kway import _bfs_hops_python, bfs_hops_native
+from repro.partition.refine import _refine_pass_python, refine_pass_native
 from repro.sssp.dijkstra import _dijkstra_python, dijkstra_native
 from repro.sssp.frontier import suggest_delta
 from repro.sssp.near_far import _near_far_batch_numpy, near_far_batch_native
 
-__all__ = ["run_matrix_cases", "main"]
+__all__ = ["run_matrix_cases", "run_partition_cases", "run_sssp_cases", "main"]
 
 _TILE = 48  # smaller than default so remainder paths hit at small n
 
@@ -194,6 +200,72 @@ def run_sssp_cases(kern: _CCKernels, *, fast: bool = False) -> list[dict]:
     return cases
 
 
+def _partition_graphs(rng: np.random.Generator, fast: bool) -> list[tuple[str, CSRGraph]]:
+    """The partition differential cases: symmetric graphs (the partitioner
+    symmetrises its input), each CSR array an exact-size copy.
+
+    Road (unit strengths), rmat with heavy hubs (integer strengths, as on
+    coarse levels), a star (matching stalls), a sparse Erdős–Rényi graph
+    with isolated vertices, and ``n = 1``.
+    """
+    n_star = 40 if fast else 150
+    leaves = np.arange(1, n_star)
+    road = road_like(120 if fast else 400, 2.5, seed=4).symmetrize()
+    hubs = rmat(96 if fast else 256, 1500 if fast else 4000, seed=5).symmetrize()
+    star = CSRGraph.from_edges(n_star, np.zeros_like(leaves), leaves, np.ones(leaves.size))
+    sparse = erdos_renyi(80, 40, seed=6).symmetrize()
+    cases = [
+        ("road/unit", road, np.ones(road.num_edges)),
+        ("rmat/int", hubs, rng.integers(1, 6, hubs.num_edges).astype(np.float64)),
+        ("star", star.symmetrize(), np.ones(2 * leaves.size)),
+        ("er/isolated", sparse, np.ones(sparse.num_edges)),
+        ("n=1", CSRGraph.from_edges(1, [], [], []), np.empty(0)),
+    ]
+    return [
+        (name, CSRGraph(g.indptr.copy(), g.indices.copy(), np.array(w, dtype=np.float64)))
+        for name, g, w in cases
+    ]
+
+
+def run_partition_cases(kern: _CCKernels, *, fast: bool = False) -> list[dict]:
+    """Native partition kernels vs the Python paths; one record per case.
+
+    The BFS starts at the last vertex too, and the refinement pass runs at
+    a tight and a loose balance bound (parts without room read ``-inf``).
+    """
+    rng = np.random.default_rng(20261018)
+    cases: list[dict] = []
+    for name, g in _partition_graphs(rng, fast):
+        n = g.num_vertices
+        for s in sorted({0, n - 1}):
+            cases.append(_case(f"partition/bfs_hops/{name}/source={s}",
+                               bfs_hops_native(kern, g, s), _bfs_hops_python(g, s)))
+        order = rng.permutation(n)
+        cases.append(_case(f"partition/matching/{name}",
+                           heavy_edge_matching_native(kern, g, order),
+                           _heavy_edge_matching_python(g, order)))
+        for k in (2, 7):
+            labels = rng.integers(0, k, n)
+            vw = rng.integers(1, 4, n).astype(np.float64)
+            src, dst, _ = g.edge_array()
+            order = rng.permutation(np.unique(src[labels[src] != labels[dst]]))
+            for tol in (1.02, 1.5):
+                runs = []
+                for pass_fn, prefix in ((refine_pass_native, (kern,)), (_refine_pass_python, ())):
+                    state = [labels.copy(), k, vw, tol * vw.sum() / k,
+                             np.bincount(labels, weights=vw, minlength=k),
+                             np.bincount(labels, minlength=k)]
+                    moved = pass_fn(*prefix, g, order, *state)
+                    runs.append((moved, state[0], state[4], state[5]))
+                got, want = runs
+                same = got[0] == want[0] and all(
+                    np.array_equal(a, b) for a, b in zip(got[2:], want[2:])
+                )
+                cases.append(_case(f"partition/refine/{name}/k={k}/tol={tol:g}",
+                                   got[1], want[1], same=same))
+    return cases
+
+
 def run_matrix_cases(
     kern: _CCKernels, *, fast: bool = False, force_fast_alias: bool = False
 ) -> list[dict]:
@@ -323,6 +395,7 @@ def run_matrix_cases(
             record(f"f32/omp/alias-routed/threads={threads}", d, want_d2)
 
     cases.extend(run_sssp_cases(kern, fast=fast))
+    cases.extend(run_partition_cases(kern, fast=fast))
     return cases
 
 

@@ -128,6 +128,44 @@ class TestNumericBoundaries:
         assert np.allclose(got, expected, rtol=1e-5)
 
 
+@pytest.fixture(params=["jit-on", "jit-off"])
+def jit_mode(request, monkeypatch):
+    """Run a test with the native kernels allowed and with them disabled."""
+    if request.param == "jit-off":
+        monkeypatch.setenv("REPRO_JIT", "off")
+    else:
+        monkeypatch.delenv("REPRO_JIT", raising=False)
+    return request.param
+
+
+class TestInputBoundary:
+    """NaN weights and empty graphs at the API boundary (a NaN weight used
+    to hang the native Near-Far kernel: its split never advanced)."""
+
+    def test_nan_weight_rejected_at_construction(self, jit_mode):
+        with pytest.raises(ValueError, match="NaN"):
+            solve_apsp(graph_of(3, [(0, 1, 1.0), (1, 2, np.nan)]), algorithm="johnson")
+        with pytest.raises(ValueError, match="NaN"):
+            CSRGraph(np.array([0, 1, 1]), np.array([1]), np.array([np.nan]))
+
+    def test_inf_weight_still_accepted(self, jit_mode):
+        g = graph_of(3, [(0, 1, 1.0), (1, 2, np.inf)])
+        res = solve_apsp(g, algorithm="johnson")
+        assert res.distance(0, 1) == 1.0 and np.isinf(res.distance(0, 2))
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, 0.0, -1.0])
+    def test_near_far_refuses_bad_delta(self, jit_mode, delta):
+        g = graph_of(3, [(0, 1, 1.0), (1, 2, 2.0)])
+        with pytest.raises(ValueError, match="delta"):
+            near_far(g, 0, delta=delta)
+
+    @pytest.mark.parametrize("algorithm", ["floyd-warshall", "johnson", "boundary", "auto"])
+    def test_empty_graph_every_algorithm(self, jit_mode, algorithm):
+        res = solve_apsp(graph_of(0, []), algorithm=algorithm)
+        assert res.to_array().shape == (0, 0)
+        assert res.algorithm in ("floyd-warshall", "johnson", "boundary")
+
+
 class TestCliExtras:
     def test_plan_command(self, capsys):
         from repro.cli import main

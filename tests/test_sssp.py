@@ -190,7 +190,7 @@ class TestWorkEfficiency:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def native():
-    kernels = jit.native_sssp_kernels()
+    kernels = jit.native_kernels()
     if kernels is None:
         pytest.skip("cc SSSP kernels unavailable (no compiler or REPRO_JIT=off)")
     return kernels
@@ -320,7 +320,7 @@ def test_failed_cc_load_falls_back_unchanged(monkeypatch, small_road):
 
     monkeypatch.setattr(jit, "_CC_KERNELS", {})
     monkeypatch.setattr(jit, "_compile_and_load", broken)
-    assert jit.native_sssp_kernels() is None
+    assert jit.native_kernels() is None
     after = near_far_batch(small_road, sources)
     after_dj = dijkstra(small_road, 11, with_predecessors=True)
     assert np.array_equal(after[0], before[0]) and after[1] == before[1]
@@ -330,4 +330,4 @@ def test_failed_cc_load_falls_back_unchanged(monkeypatch, small_road):
 
 def test_repro_jit_off_disables_native_sssp(monkeypatch):
     monkeypatch.setenv("REPRO_JIT", "off")
-    assert jit.native_sssp_kernels() is None
+    assert jit.native_kernels() is None
